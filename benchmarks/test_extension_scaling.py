@@ -2,17 +2,18 @@
 
 Three studies of features the paper motivates but does not evaluate:
 
-* multi-node cluster scaling (§III's deployment scenario);
+* multi-node cluster scaling (§III's deployment scenario), served as a
+  one-replica-per-shard :class:`~repro.sharding.ShardedService`;
 * the hybrid CPU+GPU engine (§VI future work);
 * the kNN search built on the same indexes (§VI future work).
 """
 
 import numpy as np
 
-from repro.distributed import GpuCluster
 from repro.engines import HybridEngine
-from repro.engines.gpu_temporal import GpuTemporalEngine
 from repro.gpu.costmodel import CpuCostModel, GpuCostModel
+from repro.service import SearchRequest
+from repro.sharding import ShardedService
 
 from .conftest import emit
 
@@ -21,17 +22,23 @@ def test_cluster_scaling(benchmark, s3_runner):
     """Response time vs node count on the dense dataset."""
     db = s3_runner.database
     queries = s3_runner.queries
-    d = 0.05
-    model = GpuCostModel()
+    request = SearchRequest(queries=queries, d=0.05,
+                            method="gpu_temporal",
+                            params={"num_bins": 1000})
 
     def run():
         out = {}
         for nodes in (1, 2, 4, 8):
-            cluster = GpuCluster(
-                db, nodes, lambda s: GpuTemporalEngine(s, num_bins=1000))
-            res, prof = cluster.search(queries, d)
-            out[nodes] = (prof.modeled_time(model).total,
-                          prof.imbalance(), len(res))
+            with ShardedService(db, num_shards=nodes,
+                                replicas_per_shard=1) as cluster:
+                resp = cluster.submit(request)
+            # Imbalance: max/mean of the per-shard comparison counts.
+            work = np.array([span["comparisons"]
+                             for span in resp.metrics.lane_spans],
+                            dtype=np.float64)
+            out[nodes] = (resp.outcome.modeled.total,
+                          float(work.max() / work.mean()),
+                          len(resp.outcome.results))
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

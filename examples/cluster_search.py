@@ -2,42 +2,54 @@
 GPU-equipped nodes (the deployment the paper's §III motivates) and
 compare partitioning strategies.
 
+Each node is one shard of a :class:`repro.sharding.ShardedService` with
+a single replica: the router broadcasts the query batch, every shard
+searches its slice on its own virtual GPU, and the merged answer is
+checked against a single-node search.
+
 Run:  python examples/cluster_search.py
 """
 
 import numpy as np
 
 from repro.data import random_dense_dataset, queries_from_database
-from repro.distributed import GpuCluster, partition_database
-from repro.engines import GpuTemporalEngine
-from repro.gpu.costmodel import GpuCostModel
+from repro.service import SearchRequest
+from repro.sharding import ShardedService, partition_database
 
 
 def main():
     db = random_dense_dataset(scale=0.01)
     queries = queries_from_database(db, 6, rng=np.random.default_rng(2))
     d = 0.05
-    model = GpuCostModel()
     print(f"|D| = {len(db)}, |Q| = {len(queries)}, d = {d}\n")
 
-    factory = lambda shard: GpuTemporalEngine(shard, num_bins=200)
+    request = SearchRequest(queries=queries, d=d, method="gpu_temporal",
+                            params={"num_bins": 200})
+
+    def serve(nodes, strategy="round_robin"):
+        with ShardedService(db, num_shards=nodes, replicas_per_shard=1,
+                            strategy=strategy) as cluster:
+            return cluster.submit(request)
 
     # Single node reference.
-    single, prof1 = factory(db), None
-    ref, prof1 = single.search(queries, d)
-    t1 = prof1.modeled_time(model).total
-    print(f"single node: {len(ref)} results, modeled {t1:.6f} s\n")
+    ref = serve(1)
+    t1 = ref.outcome.modeled.total
+    print(f"single node: {len(ref.outcome.results)} results, "
+          f"modeled {t1:.6f} s\n")
 
     print(f"{'strategy':>12s} {'nodes':>6s} {'modeled':>12s} "
           f"{'speedup':>8s} {'imbalance':>10s} {'exact':>6s}")
     for strategy in ("round_robin", "temporal", "spatial"):
         for nodes in (2, 4, 8):
-            cluster = GpuCluster(db, nodes, factory, strategy=strategy)
-            res, prof = cluster.search(queries, d)
-            t = prof.modeled_time(model).total
-            ok = res.equivalent_to(ref)
+            resp = serve(nodes, strategy)
+            t = resp.outcome.modeled.total
+            # Imbalance: max/mean of the per-shard comparison counts.
+            work = np.array([span["comparisons"]
+                             for span in resp.metrics.lane_spans],
+                            dtype=np.float64)
+            ok = resp.outcome.results.equivalent_to(ref.outcome.results)
             print(f"{strategy:>12s} {nodes:6d} {t:10.6f} s "
-                  f"{t1 / t:7.2f}x {prof.imbalance():9.2f} "
+                  f"{t1 / t:7.2f}x {work.max() / work.mean():9.2f} "
                   f"{'yes' if ok else 'NO'}")
 
     shards = partition_database(db, 4, "round_robin")

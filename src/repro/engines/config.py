@@ -212,7 +212,8 @@ class CpuScanConfig(EngineConfig):
     engine = "cpu_scan"
 
 
-#: engine name -> typed config class (mirrors ``ENGINE_REGISTRY``).
+#: engine name -> typed config class (one per :func:`~repro.engines.available`
+#: engine; resolve classes with :func:`~repro.engines.get_engine`).
 CONFIG_REGISTRY: dict[str, type[EngineConfig]] = {
     "gpu_spatial": GpuSpatialConfig,
     "gpu_temporal": GpuTemporalConfig,

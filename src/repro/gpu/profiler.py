@@ -238,9 +238,12 @@ class RequestMetrics:
     failovers: int = 0
     #: modeled service-clock instant the request arrived.
     arrival_s: float = 0.0
-    #: modeled lane occupancy, one entry per shard:
-    #: ``{"lane": int, "start_s": float, "dur_s": float, "shard": int}``
-    #: (lane -1 = host).  Feeds the multi-lane Chrome trace exporter.
+    #: modeled lane occupancy, one entry per engine search:
+    #: ``{"lane": int, "start_s": float, "dur_s": float,
+    #: "comparisons": int}`` plus one ``"shard": "delta"`` host entry
+    #: for a delta-overlay scan (lane -1 = host); the sharded router
+    #: tags every entry with its ``"shard"`` index.  Feeds the
+    #: multi-lane Chrome trace exporter.
     lane_spans: list = field(default_factory=list)
     #: database epoch of the snapshot the request was pinned to.
     snapshot_epoch: int = 0

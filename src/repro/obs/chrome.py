@@ -67,7 +67,7 @@ def service_batch_trace(responses, *,
             events.append({
                 "name": f"{label} [{m.engine}]"
                         + (f" shard {span['shard']}"
-                           if len(m.lane_spans) > 1 else ""),
+                           if "shard" in span else ""),
                 "ph": "X", "pid": 0, "tid": _lane_tid(span["lane"]),
                 "ts": round(span["start_s"] * _US, 3),
                 "dur": round(span["dur_s"] * _US, 3),

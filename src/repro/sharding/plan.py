@@ -2,9 +2,9 @@
 
 :class:`ShardMap` is the router's authoritative answer to "which shard
 owns this row?".  It is built once from the initial database with the
-same strategies as :func:`repro.distributed.partition_database` — so the
-initial layout is exactly the cluster partition the paper's §III
-deployment describes — and then *extended* as the router ingests new
+same strategies as :func:`~repro.sharding.partition.partition_database`
+— so the initial layout is exactly the cluster partition the paper's
+§III deployment describes — and then *extended* as the router ingests new
 trajectories:
 
 * ``round_robin`` — whole trajectories.  A known trajectory id keeps
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.types import SegmentArray
-from ..distributed.partition import PARTITION_STRATEGIES, partition_indices
+from .partition import partition_indices, route_values, slab_axis
 
 __all__ = ["ShardMap"]
 
@@ -43,13 +43,9 @@ class ShardMap:
 
     def __init__(self, database: SegmentArray, num_shards: int,
                  strategy: str = "round_robin") -> None:
-        if strategy not in PARTITION_STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; "
-                             f"available: "
-                             f"{sorted(PARTITION_STRATEGIES)}")
+        idx_lists = partition_indices(database, num_shards, strategy)
         self.strategy = strategy
         self.num_shards = int(num_shards)
-        idx_lists = partition_indices(database, num_shards, strategy)
         self.shard_bases = [database.take(ix) for ix in idx_lists]
         #: seg_id arrays owned per shard (initial base + every routed
         #: append), used to restrict the referee on partial answers.
@@ -65,11 +61,7 @@ class ShardMap:
             for tid in np.unique(base.traj_ids).tolist():
                 self._traj_shards.setdefault(int(tid), set()).add(shard)
                 self._live_trajs[shard].add(int(tid))
-        if strategy == "spatial":
-            mins, maxs = database.spatial_bounds()
-            self._axis = int(np.argmax(maxs - mins))
-        else:
-            self._axis = -1
+        self._axis = slab_axis(database)
         if strategy == "round_robin":
             # Whole-trajectory ownership; with round_robin a trajectory
             # lives on exactly one shard.
@@ -83,11 +75,9 @@ class ShardMap:
     # -- construction helpers ----------------------------------------------------
 
     def _route_value(self, segments: SegmentArray) -> np.ndarray:
-        """The scalar each row routes by under a slab strategy."""
-        if self.strategy == "temporal":
-            return segments.ts
-        return 0.5 * (segments.starts[:, self._axis]
-                      + segments.ends[:, self._axis])
+        """The scalar each row routes by under a slab strategy (the
+        rule the initial partition sliced by)."""
+        return route_values(segments, self.strategy, self._axis)
 
     def _slab_cuts(self, database: SegmentArray,
                    idx_lists: list[np.ndarray]) -> np.ndarray:

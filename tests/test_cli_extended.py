@@ -114,3 +114,49 @@ class TestReport:
         out = capsys.readouterr().out
         assert "REPORT.md" in out
         assert (tmp_path / "REPORT.md").exists()
+
+
+class TestLiveDatabaseCommands:
+    def test_ingest_checkpoint_recover_round_trip(self, db_path, tmp_path,
+                                                  capsys):
+        """A durable ingest stream, then checkpoint and recover from the
+        directory it left: the recovered epoch is the streamed one."""
+        state = tmp_path / "state"
+        assert main(["ingest", db_path, "--d", "0.05",
+                     "--method", "cpu_scan", "--rounds", "3",
+                     "--delete-every", "2", "--max-delta", "40",
+                     "--durable-dir", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert "round 3:" in out and "-traj" in out
+        assert f"durable state in {state}" in out
+
+        assert main(["checkpoint", str(state), "--json"]) == 0
+        checkpointed = json.loads(capsys.readouterr().out)
+        assert checkpointed["checkpoints_written"] == 1
+
+        assert main(["recover", str(state), "--checkpoint"]) == 0
+        out = capsys.readouterr().out
+        assert f"recovered {state}" in out
+        assert "fresh checkpoint written" in out
+
+        assert main(["recover", str(state), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["replayed"] == 0
+        assert summary["ingest"]["epoch"] == summary["epoch"] > 0
+
+    def test_checkpoint_bootstrap_and_refusals(self, db_path, tmp_path,
+                                               capsys):
+        state = tmp_path / "boot"
+        assert main(["checkpoint", str(state)]) == 2
+        assert "holds no durable state" in capsys.readouterr().err
+        assert main(["checkpoint", str(state),
+                     "--database", db_path]) == 0
+        assert "bootstrapped" in capsys.readouterr().out
+        assert main(["checkpoint", str(state),
+                     "--database", db_path]) == 2
+        assert "would overwrite" in capsys.readouterr().err
+        assert main(["ingest", db_path, "--d", "0.05", "--rounds", "1",
+                     "--method", "cpu_scan", "--json"]) == 0
+        out = capsys.readouterr().out  # round lines, then the JSON
+        stats = json.loads(out[out.index("\n{") + 1:])
+        assert stats["ingest"]["appends"] == 1

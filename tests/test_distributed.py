@@ -1,14 +1,15 @@
-"""Tests for database partitioning and the simulated GPU cluster."""
+"""Tests for the §III distributed deployment: database partitioning
+and the sharded service configured as a GPU cluster (one replica per
+shard, one virtual GPU per node)."""
 
 import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import concatenate
-from repro.distributed import (GpuCluster, PARTITION_STRATEGIES,
-                               partition_database)
-from repro.engines import GpuTemporalEngine
-from repro.gpu.costmodel import GpuCostModel
+from repro.service import SearchRequest
+from repro.sharding import (PARTITION_STRATEGIES, ShardedService,
+                            partition_database)
 
 
 class TestPartition:
@@ -56,57 +57,61 @@ class TestPartition:
         assert concatenate(shards) == small_db
 
 
+def _cluster_search(db, queries, d, nodes, strategy="round_robin",
+                    exclude_same_trajectory=False):
+    """One GPUTemporal search through ``nodes`` one-replica shards."""
+    with ShardedService(db, num_shards=nodes, replicas_per_shard=1,
+                        strategy=strategy) as cluster:
+        return cluster.submit(SearchRequest(
+            queries=queries, d=d, method="gpu_temporal",
+            params={"num_bins": 20},
+            exclude_same_trajectory=exclude_same_trajectory))
+
+
 class TestCluster:
     @pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
     def test_cluster_equals_single_node(self, db_queries_truth, strategy):
         """Merged per-shard results == whole-database search."""
         db, queries, d, truth = db_queries_truth
-        cluster = GpuCluster(
-            db, 3, lambda shard: GpuTemporalEngine(shard, num_bins=20),
-            strategy=strategy)
-        res, prof = cluster.search(queries, d)
-        assert res.equivalent_to(truth)
-        assert prof.num_nodes == 3
-        assert len(prof.node_profiles) == 3
+        resp = _cluster_search(db, queries, d, 3, strategy)
+        assert resp.ok
+        assert resp.outcome.results.equivalent_to(truth)
+        assert sorted(s["shard"] for s in resp.metrics.lane_spans) == \
+            [0, 1, 2]
 
     def test_modeled_time_is_slowest_node(self, db_queries_truth):
         db, queries, d, _ = db_queries_truth
-        cluster = GpuCluster(
-            db, 2, lambda shard: GpuTemporalEngine(shard, num_bins=20))
-        _, prof = cluster.search(queries, d)
-        m = GpuCostModel()
-        per_node = [p.modeled_time(m).total for p in prof.node_profiles]
-        assert prof.modeled_time(m).total == pytest.approx(max(per_node))
+        resp = _cluster_search(db, queries, d, 2)
+        per_node = [s["dur_s"] for s in resp.metrics.lane_spans]
+        assert len(per_node) == 2
+        assert resp.outcome.modeled.total == max(per_node)
 
     def test_imbalance_metric(self, db_queries_truth):
+        """max/mean of the per-shard comparison counts is >= 1."""
         db, queries, d, _ = db_queries_truth
-        rr = GpuCluster(db, 3,
-                        lambda s: GpuTemporalEngine(s, num_bins=20),
-                        strategy="round_robin")
-        _, prof = rr.search(queries, d)
-        assert prof.imbalance() >= 1.0
+        resp = _cluster_search(db, queries, d, 3)
+        work = np.array([s["comparisons"]
+                         for s in resp.metrics.lane_spans], dtype=float)
+        assert work.sum() > 0
+        assert work.max() / work.mean() >= 1.0
 
     def test_scaling_reduces_per_node_work(self, db_queries_truth):
         """More nodes => less work on the busiest node (the reason the
         paper wants clusters at all)."""
         db, queries, d, _ = db_queries_truth
-        m = GpuCostModel()
-        times = []
-        for n in (1, 2, 4):
-            cluster = GpuCluster(
-                db, n, lambda s: GpuTemporalEngine(s, num_bins=20))
-            _, prof = cluster.search(queries, d)
-            times.append(prof.modeled_time(m).total)
+        times = [_cluster_search(db, queries, d, n).outcome.modeled.total
+                 for n in (1, 2, 4)]
         assert times[2] < times[0]
 
     def test_exclude_same_trajectory_propagates(self, small_db):
-        cluster = GpuCluster(
-            small_db, 2, lambda s: GpuTemporalEngine(s, num_bins=20))
-        res, _ = cluster.search(small_db, 0.5,
-                                exclude_same_trajectory=True)
+        """The self-join flag reaches every shard leg."""
+        resp = _cluster_search(small_db, small_db, 0.5, 2,
+                               exclude_same_trajectory=True)
         truth = brute_force_search(small_db, small_db, 0.5,
                                    exclude_same_trajectory=True)
-        assert res.equivalent_to(truth)
+        assert len(truth) < len(brute_force_search(small_db, small_db,
+                                                   0.5))
+        assert resp.outcome.results.equivalent_to(truth)
 
 
 class TestPartitionProperties:
@@ -158,7 +163,7 @@ class TestPartitionProperties:
                                       np.sort(db.seg_ids))
 
     def test_partition_indices_match_database_partition(self, small_db):
-        from repro.distributed import partition_indices
+        from repro.sharding import partition_indices
         for strategy in sorted(PARTITION_STRATEGIES):
             idx = partition_indices(small_db, 4, strategy)
             shards = partition_database(small_db, 4, strategy)
@@ -166,63 +171,3 @@ class TestPartitionProperties:
                 np.testing.assert_array_equal(
                     small_db.seg_ids[np.asarray(ix, dtype=np.int64)],
                     shard.seg_ids)
-
-
-class TestMpiFallback:
-    """repro.distributed must not require mpi4py (satellite: lazy
-    import with a clear error)."""
-
-    def test_import_clean_without_mpi4py(self):
-        """A fresh interpreter with mpi4py blocked imports the package
-        and builds a loopback world."""
-        import subprocess
-        import sys
-        from pathlib import Path
-        import repro
-        src = str(Path(repro.__file__).parents[1])
-        code = (
-            "import sys; sys.modules['mpi4py'] = None\n"
-            "import repro.distributed as d\n"
-            "w = d.world()\n"
-            "assert isinstance(w, d.LoopbackComm), type(w)\n"
-            "print('clean')\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True,
-                              env={"PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        assert "clean" in proc.stdout
-
-    def test_mpi4py_comm_raises_typed_error(self, monkeypatch):
-        import sys
-        from repro.distributed import Mpi4pyComm, MpiUnavailableError
-        monkeypatch.setitem(sys.modules, "mpi4py", None)
-        with pytest.raises(MpiUnavailableError) as exc:
-            Mpi4pyComm()
-        msg = str(exc.value)
-        assert "LoopbackComm" in msg
-        assert "mpiexec" in msg
-        # Subclasses ImportError so existing fallbacks keep working.
-        assert isinstance(exc.value, ImportError)
-
-    def test_world_falls_back_to_loopback(self, monkeypatch):
-        import sys
-        from repro.distributed import LoopbackComm, world
-        monkeypatch.setitem(sys.modules, "mpi4py", None)
-        assert isinstance(world(), LoopbackComm)
-
-    def test_explicit_comm_skips_import(self, monkeypatch):
-        """Handing Mpi4pyComm a comm object never touches mpi4py."""
-        import sys
-        from repro.distributed import Mpi4pyComm
-        monkeypatch.setitem(sys.modules, "mpi4py", None)
-
-        class FakeComm:
-            def Get_rank(self):
-                return 3
-
-            def Get_size(self):
-                return 8
-
-        comm = Mpi4pyComm(FakeComm())
-        assert comm.rank == 3
-        assert comm.size == 8

@@ -10,7 +10,7 @@ from repro.faults import (CampaignConfig, FAULT_KINDS, FaultInjector,
                           FaultSpec, KernelAbortError, LaneBlackoutError,
                           TransferFault, run_campaign)
 from repro.gpu.device import TESLA_C2075, VirtualGPU
-from repro.gpu.kernel import KernelLauncher
+from repro.gpu.kernel import KernelLauncher, LaunchSpec
 from repro.gpu.memory import DeviceOutOfMemoryError
 
 
@@ -123,19 +123,28 @@ class TestFaultKindsOnDevice:
     def test_kernel_abort_records_nothing(self):
         inj = FaultInjector([FaultSpec(kind="kernel_abort")], seed=0)
         gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
-        launcher = KernelLauncher(gpu)
+        ran = []
+
+        def kernel(k):
+            ran.append(True)
+            k.thread_work[:] = 5
+
         with pytest.raises(KernelAbortError):
-            with launcher.launch("gpu_temporal", num_threads=4) as k:
-                k.thread_work[:] = 5
+            KernelLauncher(gpu).run(
+                LaunchSpec("gpu_temporal", num_threads=4), kernel)
+        assert ran == []  # the abort fires before the kernel body
         assert gpu.kernel_stats == []
 
     def test_kernel_stall_inflates_thread_work(self):
         inj = FaultInjector(
             [FaultSpec(kind="kernel_stall", stall_factor=4.0)], seed=0)
         gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
-        with KernelLauncher(gpu).launch("gpu_temporal",
-                                        num_threads=4) as k:
+
+        def kernel(k):
             k.thread_work[:] = 10
+
+        KernelLauncher(gpu).run(LaunchSpec("gpu_temporal", num_threads=4),
+                                kernel)
         [stats] = gpu.kernel_stats
         assert stats.thread_work.tolist() == [40, 40, 40, 40]
 

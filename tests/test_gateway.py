@@ -507,6 +507,26 @@ class TestHTTPSurface:
         assert out["garbled"][0] == 400
         gw.backend.shutdown()
 
+    def test_request_level_shards_are_a_400(self, small_db,
+                                           small_queries):
+        """An old payload asking the request itself to shard the
+        database is refused, never served unsharded."""
+        gw = _gateway(small_db)
+        payload = _request(small_queries, method="cpu_scan").to_dict()
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return [await _http(
+                    server.host, server.port, "POST", "/v1/search",
+                    json.dumps({**payload, "shards": n}).encode(),
+                    {"x-api-key": "key-alpha"}) for n in (2, 1)]
+
+        (refused, _, body), (served, _, _) = asyncio.run(drive())
+        assert refused == 400
+        assert b"ShardedService" in body
+        assert served == 200
+        gw.backend.shutdown()
+
 
 class TestOverloadCampaign:
     @pytest.fixture(scope="class")

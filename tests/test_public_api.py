@@ -12,7 +12,6 @@ PACKAGES = [
     "repro.indexes",
     "repro.engines",
     "repro.data",
-    "repro.distributed",
     "repro.astro",
     "repro.experiments",
     "repro.service",
@@ -45,11 +44,12 @@ def test_readme_documented_entry_points_exist():
                  "GpuCostModel", "HybridEngine"):
         assert hasattr(repro, name)
     from repro.core import plan_search, verify_results, TrajectoryKnn
-    from repro.distributed import GpuCluster, SpmdSearchDriver
+    from repro.sharding import ShardedService, partition_database
     from repro.gpu import occupancy, write_trace
     assert callable(plan_search) and callable(verify_results)
     assert callable(occupancy) and callable(write_trace)
-    assert GpuCluster and SpmdSearchDriver and TrajectoryKnn
+    assert callable(partition_database)
+    assert ShardedService and TrajectoryKnn
 
 
 def test_engine_registry_complete():
@@ -78,26 +78,6 @@ def test_service_layer_entry_points_exist():
     assert NO_RETRY.max_attempts == 1
     assert GpuSpatialConfig and GpuSpatioTemporalConfig
     assert GpuTemporalConfig and CpuRTreeConfig
-
-
-def test_registry_view_deprecated():
-    """ENGINE_REGISTRY survives as a read-only view: reads warn,
-    writes raise."""
-    from repro.core.search import ENGINE_REGISTRY
-    from repro.engines import CpuScanEngine
-
-    with pytest.warns(DeprecationWarning):
-        assert ENGINE_REGISTRY["cpu_scan"] is CpuScanEngine
-    with pytest.warns(DeprecationWarning):
-        assert "cpu_scan" in ENGINE_REGISTRY
-    with pytest.warns(DeprecationWarning):
-        assert set(ENGINE_REGISTRY) == {
-            "gpu_spatial", "gpu_temporal", "gpu_spatiotemporal",
-            "cpu_rtree", "cpu_scan"}
-    with pytest.raises(TypeError):
-        ENGINE_REGISTRY["_legacy_test_engine"] = CpuScanEngine
-    with pytest.raises(TypeError):
-        del ENGINE_REGISTRY["cpu_scan"]
 
 
 def test_register_engine_decorator():

@@ -1,5 +1,5 @@
 """The batched query service: caching, auto selection, degradation,
-pool scheduling, sharding, serialization."""
+pool scheduling, serialization."""
 
 import json
 
@@ -33,8 +33,15 @@ class TestRequestValidation:
             SearchRequest(queries=small_queries, d=-1.0)
 
     def test_zero_shards_rejected(self, small_queries):
-        with pytest.raises(ValueError):
-            SearchRequest(queries=small_queries, d=1.0, shards=0)
+        """A request payload asking for any shard count but 1 fails
+        loudly instead of being served unsharded; ``shards: 1`` still
+        loads."""
+        payload = _request(small_queries, d=1.0).to_dict()
+        for shards in (0, 2):
+            with pytest.raises(ValueError, match="ShardedService"):
+                SearchRequest.from_dict({**payload, "shards": shards})
+        back = SearchRequest.from_dict({**payload, "shards": 1})
+        assert back.queries == small_queries
 
     def test_unknown_method_rejected(self, service, small_queries):
         with pytest.raises(ValueError, match="unknown method"):
@@ -63,13 +70,21 @@ class TestCorrectness:
         assert resp.metrics.modeled_seconds > 0
 
     def test_sharded_matches_whole(self, service, db_queries_truth):
+        """Partitioned search runs one QueryService per shard behind
+        the sharded router; the merge equals the whole-database
+        service answer."""
+        from repro.sharding import ShardedService
         db, queries, d, truth = db_queries_truth
+        request = _request(queries, d, method="gpu_temporal",
+                           params={"num_bins": 40})
+        whole = service.submit(request)
         for strategy in ("round_robin", "temporal", "spatial"):
-            resp = service.submit(_request(
-                queries, d, method="gpu_temporal",
-                params={"num_bins": 40}, shards=2,
-                partition_strategy=strategy))
+            with ShardedService(db, num_shards=2, replicas_per_shard=1,
+                                strategy=strategy) as sharded:
+                resp = sharded.submit(request)
             assert resp.outcome.results.equivalent_to(truth), strategy
+            assert resp.outcome.results.equivalent_to(
+                whole.outcome.results), strategy
 
 
 class TestCaching:
@@ -314,14 +329,14 @@ class TestScheduling:
 class TestSerialization:
     def test_request_round_trip(self, small_queries):
         req = _request(small_queries, d=1.5, method="gpu_temporal",
-                       params={"num_bins": 40}, shards=2,
-                       request_id="rt-1")
+                       params={"num_bins": 40}, request_id="rt-1")
         back = SearchRequest.from_dict(json.loads(json.dumps(
             req.to_dict())))
         assert back.queries == small_queries
         assert back.d == 1.5 and back.method == "gpu_temporal"
         assert back.params == {"num_bins": 40}
-        assert back.shards == 2 and back.request_id == "rt-1"
+        assert back.request_id == "rt-1"
+        assert "shards" not in req.to_dict()
 
     @pytest.mark.parametrize("method", ["gpu_spatiotemporal", "cpu_rtree"])
     def test_response_round_trip(self, service, db_queries_truth, method):

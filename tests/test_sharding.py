@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.types import SegmentArray, Trajectory
-from repro.distributed import PARTITION_STRATEGIES
 from repro.engines.cpu_scan import CpuScanEngine
 from repro.faults import (SHARD_FAULT_KINDS, ShardCampaignConfig,
                           ShardCampaignReport, run_shard_campaign)
@@ -15,8 +14,8 @@ from repro.faults.crashes import _result_bytes
 from repro.ingest import IngestError
 from repro.obs import Telemetry
 from repro.service import SearchRequest
-from repro.sharding import (MergeInvariantError, ShardMap,
-                            ShardedService)
+from repro.sharding import (MergeInvariantError, PARTITION_STRATEGIES,
+                            ShardMap, ShardedService)
 from tests.conftest import make_walk_trajectories
 
 D = 4.0
@@ -97,7 +96,41 @@ class TestExactScatterGather:
         db = _db()
         with ShardedService(db, num_shards=3) as svc:
             resp = svc.submit(_request(queries, method="gpu_temporal"))
-            assert resp.outcome.modeled.total > 0.0
+            legs = [s["dur_s"] for s in resp.metrics.lane_spans]
+            assert len(legs) == 3
+            assert resp.outcome.modeled.total == max(legs) > 0.0
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
+    @pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
+    def test_one_replica_cluster_matches_referee(self, strategy,
+                                                 num_shards, queries):
+        """The cluster configuration (one replica per shard) is exact
+        at every shard count, including more shards (8) than
+        trajectories (6)."""
+        db = _db(6, 6, seed=4)
+        with ShardedService(db, num_shards=num_shards,
+                            replicas_per_shard=1,
+                            strategy=strategy) as svc:
+            resp = svc.submit(_request(queries, method="gpu_temporal"))
+            assert resp.ok
+            assert len(resp.outcome.results) > 0, "vacuous truth"
+            assert _result_bytes(resp.outcome.results) == \
+                _truth_bytes(db, queries)
+
+    def test_exclude_same_trajectory_reaches_every_leg(self):
+        db = _db()
+        request = SearchRequest(queries=db, d=D, method="gpu_temporal",
+                                exclude_same_trajectory=True)
+        truth = CpuScanEngine(db).search(db, D,
+                                         exclude_same_trajectory=True)[0]
+        with ShardedService(db, num_shards=3,
+                            replicas_per_shard=1) as svc:
+            for shard in svc.shards:
+                leg = svc._leg_request(request, shard, None)
+                assert leg.exclude_same_trajectory
+            resp = svc.submit(request)
+            assert _result_bytes(resp.outcome.results) == \
+                _result_bytes(truth)
 
 
 class TestMutationRouting:

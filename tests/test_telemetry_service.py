@@ -8,6 +8,7 @@ event log — and all of it must disappear when telemetry is disabled.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.gpu.profiler import (CpuSearchProfile, RequestMetrics,
@@ -211,17 +212,26 @@ class TestEventLog:
 class TestSerializationRoundTrips:
     def test_gpu_profile_and_metrics_round_trip(self, service,
                                                 small_queries):
+        # A dirty snapshot: the GPU search plus the host delta scan
+        # give two lane spans.
+        service.ingest(small_queries.take(np.arange(3)))
         resp = service.submit(_request(small_queries,
                                        method="gpu_temporal",
                                        params={"num_bins": 40},
-                                       shards=2, request_id="rt"))
+                                       request_id="rt"))
         back = SearchResponse.from_dict(json.loads(json.dumps(
             resp.to_dict())))
         assert isinstance(back.outcome.profile, SearchProfile)
         assert back.metrics.to_dict() == resp.metrics.to_dict()
         assert back.metrics.lane_spans == resp.metrics.lane_spans
         assert back.metrics.arrival_s == resp.metrics.arrival_s
-        assert len(back.metrics.lane_spans) == 2
+        assert [s["lane"] for s in back.metrics.lane_spans] == [0, -1]
+        assert back.metrics.lane_spans[0]["comparisons"] == \
+            back.outcome.profile.total_comparisons
+        names = [e["name"] for e in service_batch_trace([back])
+                 if e["ph"] == "X"]
+        assert names == ["rt [gpu_temporal]",
+                         "rt [gpu_temporal] shard delta"]
 
     def test_cpu_profile_and_metrics_round_trip(self, service,
                                                 small_queries):
