@@ -40,12 +40,17 @@ import numpy as np
 from .types import SegmentArray
 
 __all__ = ["compare_pairs", "pair_coefficients", "solve_intervals",
-           "PairCoefficients", "PairIntervals"]
+           "window_minimum", "PairCoefficients", "PairIntervals"]
 
 # Relative tolerance used when deciding whether the quadratic coefficient
 # is numerically zero (parallel motion).  Scaled by the magnitude of the
 # velocities involved so the test is unit-free.
 _EPS = 1e-30
+
+# Relative rounding slack of the minimum-distance prefilter (see
+# :meth:`PairCoefficients.min_sq`): 64 units of double-precision
+# roundoff, a wide margin over the few roundings either side makes.
+_SLACK = 64.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -54,19 +59,22 @@ class PairIntervals:
 
     ``mask`` flags the pairs whose moving points come within ``d`` during
     their temporal overlap; ``t_lo``/``t_hi`` give the closed interval for
-    those pairs (undefined where ``mask`` is False).
+    those pairs (undefined where ``mask`` is False).  ``hits`` lists the
+    flagged positions in increasing order, so callers need not scan the
+    full-width mask.
     """
 
     mask: np.ndarray
     t_lo: np.ndarray
     t_hi: np.ndarray
+    hits: np.ndarray
 
     def __len__(self) -> int:
         return int(self.mask.shape[0])
 
     @property
     def num_hits(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return int(self.hits.shape[0])
 
 
 def _interp_endpoints(seg: SegmentArray, idx: np.ndarray
@@ -84,6 +92,20 @@ def _interp_endpoints(seg: SegmentArray, idx: np.ndarray
     return p0, v, ts, te
 
 
+def window_minimum(a: np.ndarray, b: np.ndarray, c0: np.ndarray,
+                   t0: np.ndarray, t1: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of ``f(t) = a t^2 + b t + c0`` over each window ``[t0, t1]``.
+
+    Returns ``(t_star, f(t_star))``: the vertex ``-b / 2a`` clamped to the
+    window, or ``t0`` where ``a`` is numerically zero (constant
+    distance, any point of the window does).
+    """
+    t_star = np.where(a > _EPS, -b / (2.0 * np.maximum(a, _EPS)), t0)
+    t_star = np.clip(t_star, t0, t1)
+    return t_star, a * t_star * t_star + b * t_star + c0
+
+
 @dataclass(frozen=True)
 class PairCoefficients:
     """The ``d``-invariant part of refining a batch of candidate pairs.
@@ -97,8 +119,8 @@ class PairCoefficients:
     coefficients once per query set and re-solve per threshold.
 
     ``alive_idx`` maps the compacted coefficient rows back to positions
-    in the original pair batch; every other array is compacted (one slot
-    per alive pair).
+    in the original pair batch (strictly increasing); every other array
+    is compacted (one slot per alive pair).
     """
 
     num_pairs: int
@@ -122,107 +144,108 @@ class PairCoefficients:
                    + self.t1.nbytes + self.a.nbytes + self.b.nbytes
                    + self.c0.nbytes)
 
-    def subset(self, positions: np.ndarray) -> "PairCoefficients":
-        """Coefficients of the sub-batch at ``positions`` (sorted,
-        strictly increasing positions into this pair batch).
+    @classmethod
+    def concatenate(cls, parts: list["PairCoefficients"],
+                    offsets: list[int],
+                    num_pairs: int) -> "PairCoefficients":
+        """One batch of ``num_pairs`` pairs from consecutive sub-batches,
+        part ``i`` starting at pair position ``offsets[i]``.
 
-        A re-processed (redo) invocation's pairs are a subset of the
-        first invocation's, so its coefficients are a gather of the
-        cached ones — recomputing the quadratic from the segment store
-        would produce bit-for-bit the same values, just slower.
+        Each part's :meth:`min_sq` is carried over (computed here if the
+        caller has not already done so while the part was cache-hot).
         """
-        if positions.shape[0] == 0:
+        if not parts:
             z = np.zeros(0)
-            return PairCoefficients(
-                num_pairs=0, alive_idx=np.zeros(0, dtype=np.int64),
-                t0=z, t1=z.copy(), a=z.copy(), b=z.copy(), c0=z.copy())
-        locs = np.searchsorted(positions, self.alive_idx)
-        locs_c = np.minimum(locs, positions.shape[0] - 1)
-        keep = positions[locs_c] == self.alive_idx
-        return PairCoefficients(
-            num_pairs=int(positions.shape[0]),
-            alive_idx=locs_c[keep],
-            t0=self.t0[keep], t1=self.t1[keep], a=self.a[keep],
-            b=self.b[keep], c0=self.c0[keep])
+            return cls(num_pairs=num_pairs,
+                       alive_idx=np.zeros(0, dtype=np.int64),
+                       t0=z, t1=z, a=z, b=z, c0=z)
+        cat = np.concatenate
+        out = cls(num_pairs=num_pairs,
+                  alive_idx=cat([o + p.alive_idx
+                                 for o, p in zip(offsets, parts)]),
+                  t0=cat([p.t0 for p in parts]),
+                  t1=cat([p.t1 for p in parts]),
+                  a=cat([p.a for p in parts]),
+                  b=cat([p.b for p in parts]),
+                  c0=cat([p.c0 for p in parts]))
+        object.__setattr__(out, "_min_sq", cat([p.min_sq() for p in parts]))
+        return out
 
-    def alive_map(self) -> np.ndarray:
-        """Pair position -> row in the compacted arrays (-1 when the
-        pair was culled at build time), memoized."""
-        cached = getattr(self, "_alive_map", None)
+    def min_sq(self) -> np.ndarray:
+        """Lower bound on what :func:`solve_intervals` treats as each
+        alive row's minimum squared distance, memoized.
+
+        Soundness (prefilter survivors contain the solver's hits): the
+        solver flags a row at ``d`` only if, up to its own rounding,
+        some ``t`` in ``[t0, t1]`` has ``f(t) <= d^2``, i.e. the window
+        minimum ``m`` is at most ``d^2``.
+
+        * Constant rows (``a <= _EPS``): the solver flags exactly
+          ``c0 <= d^2`` (``fl(c0 - d^2) <= 0`` is exact in sign), so the
+          bound is ``c0`` itself.
+        * Quadratic rows: :func:`window_minimum` evaluates ``f`` at the
+          clamped vertex ``t*``.  A point of the window gives ``f >= m``
+          exactly, and the computed ``t*`` lies within a relative
+          rounding of the true minimiser, so the computed value exceeds
+          ``m`` by at most a few roundings of its terms.  The solver's
+          decision — the sign of ``b^2 - 4a(c0 - d^2)`` and the
+          comparisons of its roots with ``t0``/``t1`` — is likewise
+          exact for a perturbed ``f`` whose value moves by at most a few
+          roundings of ``c0``, ``|b t*|``, ``a t*^2`` and ``d^2``
+          (``c0 >= b^2 / 4a`` up to rounding, as ``f`` is a squared
+          norm, so ``c0`` also covers the vertex terms).  Subtracting
+          ``_SLACK`` (64 roundings) times ``c0 + |b t*| + a t*^2`` and
+          comparing against ``d^2 (1 + _SLACK)`` therefore never drops a
+          row the solver flags.
+
+        The slack scales with the terms, not with ``d^2``: time is
+        absolute, so ``c0`` and ``b t*`` can dwarf ``d^2``.
+        """
+        cached = getattr(self, "_min_sq", None)
         if cached is None:
-            cached = np.full(self.num_pairs, -1, dtype=np.int64)
-            cached[self.alive_idx] = np.arange(self.alive_idx.shape[0],
-                                               dtype=np.int64)
-            object.__setattr__(self, "_alive_map", cached)
+            t_star, f = window_minimum(self.a, self.b, self.c0, self.t0,
+                                       self.t1)
+            scale = self.c0 + np.abs(self.b * t_star) \
+                + self.a * t_star * t_star
+            cached = np.where(self.a <= _EPS, self.c0,
+                              f - _SLACK * scale)
+            object.__setattr__(self, "_min_sq", cached)
         return cached
 
-    def take(self, positions: np.ndarray) -> "PairCoefficients":
-        """Coefficients of an arbitrary (possibly unsorted) selection
-        of this batch's pair positions, as a standalone batch.
+    def _min_sq_at(self) -> np.ndarray:
+        """:meth:`min_sq` indexed by pair position, memoized.  Pairs
+        culled at build time hold NaN, which survives no threshold."""
+        cached = getattr(self, "_min_sq_pos", None)
+        if cached is None:
+            cached = np.full(self.num_pairs, np.nan)
+            cached[self.alive_idx] = self.min_sq()
+            object.__setattr__(self, "_min_sq_pos", cached)
+        return cached
 
-        Unlike :meth:`subset`, ``positions`` need not be sorted — the
-        spatiotemporal scheme's per-``d`` pair set visits the cached
-        superset in schedule order, not pair order.
+    def take(self, positions: np.ndarray, d: float) -> "PairCoefficients":
+        """The rows of ``positions`` (pair positions into this batch, in
+        any order) that can hit at threshold ``d``, as a standalone batch
+        of ``len(positions)`` pairs.
+
+        Only prefilter survivors are gathered; solving the result at any
+        ``d' <= d`` gives bit-for-bit the answer of solving the full
+        selection, because the root solve is elementwise.  This is how a
+        cached superset serves each threshold's pair set.
         """
-        src_all = self.alive_map()[positions]
-        keep = np.flatnonzero(src_all >= 0)
-        src = src_all[keep]
-        return PairCoefficients(
+        bound = self._min_sq_at()[positions]
+        keep = np.flatnonzero(bound <= _threshold(d))
+        src = np.searchsorted(self.alive_idx, positions[keep])
+        out = PairCoefficients(
             num_pairs=int(positions.shape[0]), alive_idx=keep,
             t0=self.t0[src], t1=self.t1[src], a=self.a[src],
             b=self.b[src], c0=self.c0[src])
-
-    def partition(self) -> "_SolvePartition":
-        """The ``d``-invariant part of root solving, memoized.
-
-        Splitting alive pairs into the constant-distance and genuine
-        quadratic cases — and pre-gathering the per-case operands — does
-        not depend on the threshold, so a cached coefficient set being
-        re-solved across a ``d``-sweep pays for it once.  Every derived
-        array holds exactly the intermediate values
-        :func:`solve_intervals` historically computed, so solving from
-        the partition is bit-identical.
-        """
-        cached = getattr(self, "_partition", None)
-        if cached is None:
-            const = self.a <= _EPS
-            quad = ~const
-            bq = self.b[quad]
-            aq = self.a[quad]
-            cached = _SolvePartition(
-                const_alive=self.alive_idx[const],
-                c0_const=self.c0[const],
-                t0_const=self.t0[const],
-                t1_const=self.t1[const],
-                quad_alive=self.alive_idx[quad],
-                bb=bq * bq,
-                foura=4.0 * aq,
-                negb=-bq,
-                twoa=2.0 * aq,
-                c0q=self.c0[quad],
-                t0q=self.t0[quad],
-                t1q=self.t1[quad],
-            )
-            object.__setattr__(self, "_partition", cached)
-        return cached
+        object.__setattr__(out, "_min_sq", bound[keep])
+        return out
 
 
-@dataclass(frozen=True)
-class _SolvePartition:
-    """Pre-gathered operands for per-threshold root solving."""
-
-    const_alive: np.ndarray
-    c0_const: np.ndarray
-    t0_const: np.ndarray
-    t1_const: np.ndarray
-    quad_alive: np.ndarray
-    bb: np.ndarray
-    foura: np.ndarray
-    negb: np.ndarray
-    twoa: np.ndarray
-    c0q: np.ndarray
-    t0q: np.ndarray
-    t1q: np.ndarray
+def _threshold(d: float) -> float:
+    """Survivor threshold on :meth:`PairCoefficients.min_sq` at ``d``."""
+    return d * d * (1.0 + _SLACK)
 
 
 def pair_coefficients(
@@ -293,6 +316,10 @@ def solve_intervals(coef: PairCoefficients, d: float) -> PairIntervals:
 
     The ``d``-dependent half of :func:`compare_pairs`: roots of
     ``a t^2 + b t + (c0 - d^2)``, intersected with the temporal overlap.
+    Only rows whose :meth:`PairCoefficients.min_sq` bound survives at
+    ``d`` reach the root solve; the rest cannot hit (see the soundness
+    argument there), and the solve is elementwise, so the result is
+    bit-identical to solving every alive row.
     """
     if d < 0:
         raise ValueError("query distance d must be non-negative")
@@ -301,32 +328,32 @@ def solve_intervals(coef: PairCoefficients, d: float) -> PairIntervals:
     t_hi = np.empty(n)
     mask = np.zeros(n, dtype=bool)
     d2 = d * d
-    p = coef.partition()
+    rows = np.flatnonzero(coef.min_sq() <= _threshold(d))
+    a = coef.a[rows]
 
-    # Case 1: constant relative distance (a == 0 numerically).
-    hit_const = p.c0_const - d2 <= 0.0
-    idx = p.const_alive[hit_const]
-    t_lo[idx] = p.t0_const[hit_const]
-    t_hi[idx] = p.t1_const[hit_const]
-    mask[idx] = True
+    # Case 1: constant relative distance (a == 0 numerically): the
+    # whole overlap or nothing.
+    hit = coef.c0[rows] - d2 <= 0.0
+    lo = coef.t0[rows]
+    hi = coef.t1[rows]
 
     # Case 2: genuine quadratic.  f <= 0 between the roots.
-    if p.quad_alive.size:
-        cq = p.c0q - d2
-        disc = p.bb - p.foura * cq
-        has_roots = disc >= 0.0
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        r_lo = (p.negb - sq) / p.twoa
-        r_hi = (p.negb + sq) / p.twoa
-        lo = np.maximum(r_lo, p.t0q)
-        hi = np.minimum(r_hi, p.t1q)
-        hit = has_roots & (lo <= hi)
-        quad_idx = p.quad_alive[hit]
-        t_lo[quad_idx] = lo[hit]
-        t_hi[quad_idx] = hi[hit]
-        mask[quad_idx] = True
+    quad = np.flatnonzero(a > _EPS)
+    aq = a[quad]
+    bq = coef.b[rows[quad]]
+    cq = coef.c0[rows[quad]] - d2
+    disc = bq * bq - 4.0 * aq * cq
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    twoa = 2.0 * aq
+    lo[quad] = np.maximum((-bq - sq) / twoa, lo[quad])
+    hi[quad] = np.minimum((-bq + sq) / twoa, hi[quad])
+    hit[quad] = (disc >= 0.0) & (lo[quad] <= hi[quad])
 
-    return PairIntervals(mask, t_lo, t_hi)
+    hits = coef.alive_idx[rows[hit]]
+    t_lo[hits] = lo[hit]
+    t_hi[hits] = hi[hit]
+    mask[hits] = True
+    return PairIntervals(mask, t_lo, t_hi, hits)
 
 
 def compare_pairs(

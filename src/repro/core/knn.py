@@ -19,7 +19,8 @@ iterative deepening:
 
 The exact per-pair minimum distance comes from the same quadratic as the
 interval solver: ``f(t) = |w|^2 t^2 + 2 u.w t + |u|^2`` minimized over
-the closed overlap window.
+the closed overlap window by :func:`repro.core.distance.window_minimum`,
+the helper behind the solver's minimum-distance prefilter.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _EPS, _interp_endpoints
+from .distance import pair_coefficients, window_minimum
 from .search import DistanceThresholdSearch
 from .types import SegmentArray
 
@@ -47,31 +48,13 @@ def pair_min_distance(
     Returns ``(overlap_mask, d_min)``; ``d_min`` is +inf where the pair
     never coexists.
     """
-    q_idx = np.asarray(q_idx, dtype=np.int64)
-    e_idx = np.asarray(e_idx, dtype=np.int64)
-    n = q_idx.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0)
-
-    qp0, qv, qts, qte = _interp_endpoints(queries, q_idx)
-    ep0, ev, ets, ete = _interp_endpoints(entries, e_idx)
-    t0 = np.maximum(qts, ets)
-    t1 = np.minimum(qte, ete)
-    overlap = t0 <= t1
-
-    w = ev - qv
-    u = (ep0 - qp0) - ev * ets[:, None] + qv * qts[:, None]
-    a = np.einsum("ij,ij->i", w, w)
-    b = 2.0 * np.einsum("ij,ij->i", u, w)
-    c = np.einsum("ij,ij->i", u, u)
-
-    # Unconstrained minimizer of the quadratic, clamped to the window;
-    # for a ~ 0 the distance is constant and any point in the window does.
-    t_star = np.where(a > _EPS, -b / (2.0 * np.maximum(a, _EPS)), t0)
-    t_star = np.clip(t_star, t0, t1)
-    f = a * t_star * t_star + b * t_star + c
-    d_min = np.sqrt(np.maximum(f, 0.0))
-    return overlap, np.where(overlap, d_min, np.inf)
+    coef = pair_coefficients(queries, entries, q_idx, e_idx)
+    _, f = window_minimum(coef.a, coef.b, coef.c0, coef.t0, coef.t1)
+    overlap = np.zeros(coef.num_pairs, dtype=bool)
+    overlap[coef.alive_idx] = True
+    d_min = np.full(coef.num_pairs, np.inf)
+    d_min[coef.alive_idx] = np.sqrt(np.maximum(f, 0.0))
+    return overlap, d_min
 
 
 @dataclass(frozen=True)

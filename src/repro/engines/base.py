@@ -62,8 +62,9 @@ def index_build_phase(engine_name: str):
         time.perf_counter() - wall0, engine=engine_name)
 
 #: Upper bound on candidate pairs refined per vectorized chunk; keeps peak
-#: host memory flat independent of the workload.
-MAX_PAIRS_PER_CHUNK = 1 << 21
+#: host memory flat independent of the workload, and small enough that a
+#: chunk's few dozen elementwise passes run from cache, not memory.
+MAX_PAIRS_PER_CHUNK = 1 << 16
 
 #: Bytes per query segment shipped host->device (8 coords + 2 ids, f64/i64).
 QUERY_ITEM_BYTES = 80
@@ -345,7 +346,7 @@ def refine_ranges(
 
     if coefficients is not None:
         res = solve_intervals(coefficients, d)
-        hit_pos = np.flatnonzero(res.mask)
+        hit_pos = res.hits
         local_thread = np.searchsorted(batch.cand_start, hit_pos,
                                        side="right") - 1
         hits_per_thread = np.bincount(
@@ -365,7 +366,7 @@ def refine_ranges(
         res = compare_pairs(queries, database, q_idx, e_idx, d,
                             exclude_same_trajectory=exclude_same_trajectory)
         if res.num_hits:
-            hit_pos = np.flatnonzero(res.mask)
+            hit_pos = res.hits
             local_thread = t + np.searchsorted(
                 batch.cand_start[t:t_end + 1] - batch.cand_start[t],
                 hit_pos, side="right") - 1
@@ -443,6 +444,14 @@ class RefineCache:
         self._key: tuple | None = None
         self._coef: PairCoefficients | None = None
 
+    def __getstate__(self) -> dict:
+        # Keyed on a query set's identity, so an unpickled copy could
+        # never hit: pickle the policy, not the entry.
+        return {"max_pairs": self.max_pairs}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["max_pairs"])
+
     def lookup(self, queries: SegmentArray,
                exclude_same_trajectory: bool
                ) -> PairCoefficients | None:
@@ -472,35 +481,23 @@ class RefineCache:
         if num_pairs > self.max_pairs:
             return None
         lens = batch.lengths()
-        # Build in MAX_PAIRS_PER_CHUNK chunks (concatenated afterwards):
-        # one giant pass would allocate tens of full-batch temporaries
-        # and stall on page faults.  Elementwise math, so chunk
-        # boundaries never change a single bit of the result.
+        # Build in MAX_PAIRS_PER_CHUNK chunks, each with its prefilter
+        # bound computed while its arrays are cache-hot, then
+        # concatenate.  Elementwise math, so chunk boundaries never
+        # change a single bit of the result.
         bases: list[int] = []
         parts: list[PairCoefficients] = []
         bounds = _chunk_bounds(lens)
         for t, t_end in zip(bounds[:-1], bounds[1:]):
             span = slice(batch.cand_start[t], batch.cand_start[t_end])
             q_idx = np.repeat(batch.q_rows[t:t_end], lens[t:t_end])
-            parts.append(pair_coefficients(
+            part = pair_coefficients(
                 queries, database, q_idx, batch.candidate_rows[span],
-                exclude_same_trajectory=exclude_same_trajectory))
+                exclude_same_trajectory=exclude_same_trajectory)
+            part.min_sq()
+            parts.append(part)
             bases.append(int(batch.cand_start[t]))
-        if parts:
-            coef = PairCoefficients(
-                num_pairs=num_pairs,
-                alive_idx=np.concatenate(
-                    [b + c.alive_idx for b, c in zip(bases, parts)]),
-                t0=np.concatenate([c.t0 for c in parts]),
-                t1=np.concatenate([c.t1 for c in parts]),
-                a=np.concatenate([c.a for c in parts]),
-                b=np.concatenate([c.b for c in parts]),
-                c0=np.concatenate([c.c0 for c in parts]))
-        else:  # pragma: no cover - engines never launch empty batches
-            z = np.zeros(0)
-            coef = PairCoefficients(
-                num_pairs=0, alive_idx=np.zeros(0, dtype=np.int64),
-                t0=z, t1=z.copy(), a=z.copy(), b=z.copy(), c0=z.copy())
+        coef = PairCoefficients.concatenate(parts, bases, num_pairs)
         self._queries = queries
         self._key = (len(queries), exclude_same_trajectory)
         self._coef = coef
@@ -539,6 +536,11 @@ class GpuEngineBase(SearchEngine):
     the loop burning through ``MAX_KERNEL_INVOCATIONS``.
     """
 
+    #: Attributes caching per-query-set work keyed on the set's identity.
+    #: No live query set *is* an unpickled copy of one, so a pickled
+    #: engine (a checkpoint artifact) carries them empty.
+    _identity_caches: tuple[str, ...] = ("_sort_cache",)
+
     def __init__(self, database: SegmentArray, *,
                  gpu: VirtualGPU | None = None,
                  result_buffer_items: int = 2_000_000,
@@ -550,6 +552,12 @@ class GpuEngineBase(SearchEngine):
         self.retry = retry or RetryPolicy()
         self.database = database  # subclass may replace with sorted order
         self._sort_cache: tuple[SegmentArray, SegmentArray] | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._identity_caches:
+            state[name] = None
+        return state
 
     # -- the retried search ----------------------------------------------------------
 

@@ -44,6 +44,7 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
 
     name = "gpu_spatiotemporal"
     config_type = GpuSpatioTemporalConfig
+    _identity_caches = GpuEngineBase._identity_caches + ("_superset",)
 
     def __init__(self, database: SegmentArray, *, num_bins: int = 1000,
                  num_subbins: int = 4, strict_subbins: bool = True,
@@ -160,7 +161,7 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
             if coef_full is not None:
                 q_rep = np.repeat(qrow_all[live], lens)
                 coef = coef_full.take(
-                    cstart_full[q_rep] + cand_rows - row_lo_t[q_rep])
+                    cstart_full[q_rep] + cand_rows - row_lo_t[q_rep], d)
 
             def kernel(k, lens=lens, sel=sel, batch=batch, coef=coef):
                 hits, pq, pe, plo, phi = refine_ranges(

@@ -46,6 +46,7 @@ class GpuTemporalEngine(GpuEngineBase):
 
     name = "gpu_temporal"
     config_type = GpuTemporalConfig
+    _identity_caches = GpuEngineBase._identity_caches + ("_batch_cache",)
 
     def __init__(self, database: SegmentArray, *, num_bins: int = 1000,
                  gpu=None, result_buffer_items: int = 2_000_000,
@@ -134,7 +135,7 @@ class GpuTemporalEngine(GpuEngineBase):
                                    cand_start=cand_start)
                 if coef_full is not None:
                     coef = coef_full.take(expand_ranges(
-                        full_cand_start[live], lens))
+                        full_cand_start[live], lens), d)
 
             def kernel(k, lens=lens, batch=batch, coef=coef):
                 hits, pq, pe, plo, phi = refine_ranges(

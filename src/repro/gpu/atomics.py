@@ -74,6 +74,23 @@ class AtomicResultBuffer:
         self.atomic_ops += n
         return True
 
+    def __getstate__(self) -> dict:
+        # Pickle the capacity and the published items only: the unused
+        # tail of the np.empty storage is garbage, and for a drained
+        # buffer that is every byte of it.
+        state = self.__dict__.copy()
+        for name in ("_q", "_e", "_lo", "_hi"):
+            state[name] = state[name][:self.size].copy()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in ("_q", "_e", "_lo", "_hi"):
+            items = state[name]
+            full = np.empty(self.capacity_items, dtype=items.dtype)
+            full[:items.shape[0]] = items
+            setattr(self, name, full)
+
     def drain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Host-side read-out; empties the buffer for the next invocation.
 

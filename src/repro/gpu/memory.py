@@ -69,6 +69,18 @@ class DeviceArray:
     def __len__(self) -> int:
         return int(self.data.shape[0])
 
+    def __reduce__(self):
+        # Zero-filled allocations (the ``alloc`` placeholders that size
+        # result and candidate buffers) pickle as their shape, not their
+        # bytes: a checkpointed engine would otherwise carry them whole.
+        if not self.data.any():
+            return (_zeros, (self.name, self.data.shape, self.data.dtype))
+        return (DeviceArray, (self.name, self.data))
+
+
+def _zeros(name: str, shape: tuple[int, ...], dtype) -> DeviceArray:
+    return DeviceArray(name=name, data=np.zeros(shape, dtype=dtype))
+
 
 class MemoryManager:
     """Tracks named allocations against a fixed global-memory capacity."""

@@ -356,16 +356,23 @@ class RTree:
     # -- reporting ------------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Approximate in-memory index footprint (boxes + ranges)."""
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            total += node.child_lo.nbytes + node.child_hi.nbytes
-            if node.ranges is not None:
-                total += node.ranges.nbytes
-            stack.extend(node.children)
-        return total
+        """Approximate in-memory index footprint (boxes + ranges).
+
+        Walks every node once per tree and keeps the figure: a built
+        tree is never modified, and engines report it on each search.
+        """
+        cached = self.__dict__.get("_nbytes")
+        if cached is None:
+            cached = 0
+            stack = [self.root]
+            while stack:
+                node = stack.pop()
+                cached += node.child_lo.nbytes + node.child_hi.nbytes
+                if node.ranges is not None:
+                    cached += node.ranges.nbytes
+                stack.extend(node.children)
+            self._nbytes = cached
+        return cached
 
     def depth(self) -> int:
         node, depth = self.root, 1

@@ -198,6 +198,55 @@ class TestCheckpoint:
         assert names == sorted(names, reverse=True)
 
 
+class TestEngineArtifact:
+    """Checkpoints pickle warm engines; the pickle carries the index and
+    the device placement, not buffers or per-query-set caches."""
+
+    @pytest.mark.parametrize("method",
+                             ["gpu_temporal", "gpu_spatiotemporal"])
+    def test_warm_engine_round_trip(self, method):
+        import pickle
+
+        from repro.engines import get_engine
+        db = SegmentArray.from_trajectories(
+            make_walk_trajectories(120, 40, seed=5))
+        queries = SegmentArray.from_trajectories(
+            make_walk_trajectories(6, 40, seed=6))
+        engine = get_engine(method).from_config(db)
+        warm = [engine.search(queries, d)[0].canonical()
+                for d in (0.5, 2.0)]
+        blob = pickle.dumps(engine)
+        # 4,680 segments: the drained 2M-item result buffer, its device
+        # placeholder and the coefficient caches made this ~129 MiB.
+        assert len(blob) < 2 * 2**20
+        clone = pickle.loads(blob)
+        assert (clone.result_buffer.capacity_items
+                == engine.result_buffer.capacity_items)
+        for d, want in zip((0.5, 2.0), warm):
+            got = clone.search(queries, d)[0].canonical()
+            for col in ("q_ids", "e_ids", "t_lo", "t_hi"):
+                assert (getattr(got, col).tobytes()
+                        == getattr(want, col).tobytes())
+
+    def test_result_buffer_keeps_published_items(self):
+        import pickle
+
+        from repro.gpu.atomics import AtomicResultBuffer
+        buf = AtomicResultBuffer(1000)
+        assert buf.try_append(np.arange(3), np.arange(3) + 10,
+                              np.zeros(3), np.ones(3))
+        clone = pickle.loads(pickle.dumps(buf))
+        assert clone.capacity_items == 1000
+        assert (clone.size, clone.atomic_ops) == (3, 3)
+        assert clone.try_append(np.array([7]), np.array([8]),
+                                np.array([0.5]), np.array([1.5]))
+        q, e, lo, hi = clone.drain()
+        assert q.tolist() == [0, 1, 2, 7]
+        assert e.tolist() == [10, 11, 12, 8]
+        assert lo.tolist() == [0.0, 0.0, 0.0, 0.5]
+        assert hi.tolist() == [1.0, 1.0, 1.0, 1.5]
+
+
 # -- manager + recovery -------------------------------------------------------
 
 

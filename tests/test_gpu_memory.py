@@ -17,6 +17,21 @@ class TestMemoryManager:
         assert mem.free_bytes == 9_200
         assert "a" in mem
 
+    def test_pickle_keeps_contents_and_shrinks_zero_placeholders(self):
+        import pickle
+        mem = MemoryManager(capacity_bytes=10_000_000)
+        mem.alloc("buf", (100_000, 4))
+        mem.put("x", np.arange(10, dtype=np.int32))
+        blob = pickle.dumps(mem)
+        assert len(blob) < 10_000  # not the 3.2 MB of zeros
+        clone = pickle.loads(blob)
+        assert clone.allocations() == mem.allocations()
+        buf = clone.get("buf").data
+        assert buf.shape == (100_000, 4) and buf.dtype == np.float64
+        assert not buf.any()
+        x = clone.get("x").data
+        assert x.dtype == np.int32 and x.tolist() == list(range(10))
+
     def test_put_copies(self):
         mem = MemoryManager(capacity_bytes=10_000)
         host = np.arange(10, dtype=np.float64)

@@ -173,3 +173,13 @@ class TestQueryCandidates:
     def test_nbytes(self, tree):
         t, _ = tree
         assert t.nbytes() > 0
+
+    def test_nbytes_cached_equals_fresh_walk(self, tree):
+        """The once-per-tree footprint equals a fresh walk of the nodes,
+        for both the STR and the insertion (Guttman) builds."""
+        t, _ = tree
+        fresh = sum(n.child_lo.nbytes + n.child_hi.nbytes
+                    + (n.ranges.nbytes if n.ranges is not None else 0)
+                    for n in walk(t.root))
+        assert t.nbytes() == fresh
+        assert t.nbytes() == fresh  # second call served from the cache
